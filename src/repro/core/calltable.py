@@ -39,7 +39,7 @@ from repro.core.matching import (
 from repro.core.preprocess import PreprocessedTrace
 from repro.profiler.events import (
     COLLECTIVE_CALLS, DATATYPE_CALLS, NB_COLLECTIVE_CALLS, ONE_SIDED_CALLS,
-    SUPPORT_CALLS, SYNC_CALLS, CallEvent,
+    SUPPORT_CALLS, SYNC_CALLS, CallEvent, check_call_args,
 )
 from repro.util.errors import AnalysisError
 from repro.util.location import SourceLocation
@@ -748,7 +748,11 @@ class CallIngest:
         from repro.profiler.events import decode_event
         event = decode_event(self.rank, line)
         if isinstance(event, CallEvent):
-            row, lock_str = classify_call(event.fn, event.args)
+            try:
+                row, lock_str = classify_call(event.fn, event.args)
+            except (KeyError, TypeError, ValueError):
+                check_call_args(self.rank, event.seq, event.fn, event.args)
+                raise
             if lock_str is not None and row[9] == LOCK_OTHER:
                 self._lock_types[len(self._seqs)] = lock_str
             self._seqs.append(event.seq)

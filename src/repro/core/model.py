@@ -569,6 +569,9 @@ def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
     if fn in _RMA_KIND:
         win = pre.window(int(args["win"]))
         target = int(args["target"])
+        if target not in win.bases:
+            raise AnalysisError(f"rank {rank} seq {event.seq}: {fn} targets "
+                                f"rank {target} outside window {win.win_id}")
         origin_dtype = pre.datatype(rank, int(args["origin_dtype"]))
         target_dtype = pre.datatype(rank, int(args["target_dtype"]))
         origin_base = int(args["origin_base"]) + \

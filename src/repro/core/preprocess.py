@@ -18,7 +18,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.profiler.events import CallEvent, Event, MemEvent
+from repro.profiler.events import CallEvent, Event, check_call_args
 from repro.profiler.tracer import TraceSet
 from repro.simmpi.comm import WORLD_COMM_ID
 from repro.simmpi.datatypes import Datatype, DatatypeFactory, PRIMITIVES_BY_ID
@@ -99,10 +99,14 @@ def scan_rank(rank: int, events: List[Event],
             raise AnalysisError(f"rank {rank}: unknown datatype id {type_id}")
         return dt
 
+    checked = set()  # memoized decoding shares one args dict per shape
     for event in events:
         if not isinstance(event, CallEvent):
             continue
         fn, args = event.fn, event.args
+        if id(args) not in checked:
+            check_call_args(rank, event.seq, fn, args)
+            checked.add(id(args))
         if fn == "Win_create":
             scan.windows.append((
                 int(args["win"]), int(args["comm"]), int(args["base"]),

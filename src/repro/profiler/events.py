@@ -19,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Union
 
+import numpy as np
+
+from repro.util.errors import TraceFormatError
 from repro.util.location import SourceLocation, UNKNOWN_LOCATION
 from repro.util.records import Record, decode_record, encode_record
 
@@ -76,6 +79,59 @@ NB_COLLECTIVE_CALLS = frozenset({"Ibarrier", "Ibcast"})
 RMA_COMM_CALLS = frozenset({"Put", "Get", "Accumulate", "Get_accumulate",
                             "Compare_and_swap",
                             "Rput", "Rget", "Raccumulate"})
+
+_RMA_ARGS = ("win target origin_base origin_offset origin_count "
+             "origin_dtype target_disp target_count target_dtype")
+
+#: the arguments the analyzer reads unconditionally, per call kind
+#: (``Wait`` depends on what it completes: :func:`check_call_args`)
+REQUIRED_CALL_ARGS = {fn: tuple(keys.split()) for fns, keys in (
+    ("Put Get Accumulate Get_accumulate Compare_and_swap", _RMA_ARGS),
+    ("Rput Rget Raccumulate", _RMA_ARGS + " req"),
+    ("Win_create", "win comm base size disp_unit"),
+    ("Win_free Win_fence Win_lock_all Win_unlock_all Win_flush_all "
+     "Win_complete Win_wait", "win"),
+    ("Win_lock", "win target lock_type"),
+    ("Win_unlock Win_flush", "win target"),
+    ("Win_post Win_start", "win group"),
+    ("Rma_wait", "win req"),
+    ("Comm_split", "comm newcomm key"),
+    ("Comm_dup", "comm newcomm"),
+    ("Comm_create", "newcomm group"),
+    ("Type_contiguous", "count oldtype"),
+    ("Type_vector", "count blocklength stride oldtype"),
+    ("Type_indexed", "blocklengths displacements oldtype"),
+    ("Type_struct", "blocklengths displacements oldtypes"),
+    ("Send Isend", "comm dest tag"),
+    ("Recv", "comm source tag"),
+    ("Ibarrier Ibcast", "req"),
+    ("Bcast", "root"),
+) for fn in fns.split()}
+
+_INT = (int, np.integer)
+_SEQ = (tuple, list)
+#: the type each required argument must have (default: an int)
+_ARG_TYPES = {"group": _SEQ, "blocklengths": _SEQ, "displacements": _SEQ,
+              "oldtypes": _SEQ, "lock_type": str}
+
+
+def check_call_args(rank: int, seq: int, fn: str,
+                    args: Dict[str, Any]) -> None:
+    """Raise :class:`TraceFormatError` unless every argument the analyzer
+    reads from a ``fn`` call is present with its type, so its
+    ``args[...]`` lookups cannot fail on a damaged record."""
+    required = REQUIRED_CALL_ARGS.get(fn, ())
+    if fn == "Wait":  # what it carries depends on what it completes
+        kind = args.get("req_kind")
+        required = (("req",) if kind == "icoll" else
+                    ("comm", "source", "tag")
+                    if kind == "irecv" and "source" in args else ())
+    for key in required:
+        if not isinstance(args.get(key), _ARG_TYPES.get(key, _INT)):
+            problem = "lacks" if key not in args else "has a mistyped"
+            raise TraceFormatError(f"rank {rank} seq {seq}: {fn} call "
+                                   f"record {problem} argument {key!r}")
+
 
 ACCESS_LOAD = "load"
 ACCESS_STORE = "store"

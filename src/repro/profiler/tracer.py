@@ -545,10 +545,10 @@ class TraceReader:
         except (ValueError, KeyError, TypeError) as exc:
             raise TraceFormatError(
                 f"{self.path}: corrupt footer: {exc}") from exc
-        tag, payload, data_start = self._read_frame(len(_MAGIC))
+        tag, _payload, data_start = self._read_frame(len(_MAGIC))
         if tag != b"H":
             raise TraceFormatError(f"{self.path}: missing trace header")
-        rec = decode_record(payload.decode("utf-8"))
+        rec = decode_record(self._frame_text(len(_MAGIC) + 5, data_start))
         self.header = TraceHeader(
             version=rec.get_int("v"), rank=rec.get_int("rank"),
             nranks=rec.get_int("nranks"), app=rec.get_str("app", ""))
@@ -569,6 +569,16 @@ class TraceReader:
         length = _U32.unpack_from(mm, pos + 1)[0]
         end = pos + 5 + length
         return tag, mm[pos + 5:end], end
+
+    def _frame_text(self, start: int, stop: int) -> str:
+        """The record text of the frame whose payload is
+        ``[start, stop)``."""
+        try:
+            return self._mm[start:stop].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(
+                f"{self.path}: frame at byte {start - 5} is not "
+                f"UTF-8 (byte {start + exc.start})") from exc
 
     # -- lifecycle ------------------------------------------------------
 
@@ -684,34 +694,9 @@ class TraceReader:
     def _read_calls_binary(self, ingest) -> List[CallEvent]:
         """Binary call pass through an ingest object: C frames decode
         via the memoizing parser, M frames are stepped over untouched."""
-        mm = self._mm
-        if mm is None:
-            raise TraceFormatError(f"{self.path}: reader is closed")
-        calls: List[CallEvent] = []
-        pos = self._data_pos
-        end = self._footer_off
-        itemsize = MEM_DTYPE.itemsize
         add = ingest.add
-        while pos < end:
-            tag = mm[pos:pos + 1]
-            length = _U32.unpack_from(mm, pos + 1)[0]
-            start = pos + 5
-            if tag == b"M":
-                pos = start + length * itemsize
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: memory block overruns the footer")
-            elif tag == b"C":
-                pos = start + length
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: call record overruns the footer")
-                calls.append(add(mm[start:pos].decode("utf-8")))
-            else:
-                raise TraceFormatError(
-                    f"{self.path}: unknown frame tag {tag!r} at byte "
-                    f"{pos}")
-        return calls
+        return [add(self._frame_text(start, start + length))
+                for tag, start, length in self._data_frames() if tag == b"C"]
 
     def counts(self) -> Dict[str, int]:
         """Per-class event counts: served from the footer for binary
@@ -745,35 +730,15 @@ class TraceReader:
                             "digests": self.digests()})
 
     def _recompute_binary_digests(self) -> Dict[str, str]:
-        mm = self._mm
-        if mm is None:
-            raise TraceFormatError(f"{self.path}: reader is closed")
         hash_calls = hashlib.sha256()
         hash_mems = hashlib.sha256()
-        pos = self._data_pos
-        end = self._footer_off
-        itemsize = MEM_DTYPE.itemsize
-        while pos < end:
-            tag = mm[pos:pos + 1]
-            length = _U32.unpack_from(mm, pos + 1)[0]
-            start = pos + 5
+        for tag, start, length in self._data_frames():
             if tag == b"M":
-                pos = start + length * itemsize
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: memory block overruns the footer")
-                hash_mems.update(mm[start:pos])
-            elif tag == b"C":
-                pos = start + length
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: call record overruns the footer")
-                hash_calls.update(_U32.pack(length))
-                hash_calls.update(mm[start:pos])
+                hash_mems.update(
+                    self._mm[start:start + length * MEM_DTYPE.itemsize])
             else:
-                raise TraceFormatError(
-                    f"{self.path}: unknown frame tag {tag!r} at byte "
-                    f"{pos}")
+                hash_calls.update(_U32.pack(length))
+                hash_calls.update(self._mm[start:start + length])
         return {"calls": hash_calls.hexdigest(),
                 "mems": hash_mems.hexdigest(),
                 "strings": hash_strings(self._table.strings)}
@@ -789,55 +754,51 @@ class TraceReader:
         if self.format == FORMAT_BINARY:
             yield from self._mem_blocks_binary()
         else:
-            yield from self._mem_blocks_text()
+            yield from self._stream_text(decode_calls=False)
 
     # -- binary internals ----------------------------------------------
 
-    def _stream_binary(self, decode_mems: bool = True) -> Iterator[StreamItem]:
+    def _data_frames(self) -> Iterator[Tuple[bytes, int, int]]:
+        """``(tag, payload offset, length)`` of every data frame in file
+        order, tags and bounds checked; ``length`` counts bytes for a
+        call frame (``C``) and rows for a memory block (``M``)."""
         mm = self._mm
         if mm is None:
             raise TraceFormatError(f"{self.path}: reader is closed")
-        rank = self.header.rank
-        table = self._table
         pos = self._data_pos
         end = self._footer_off
         itemsize = MEM_DTYPE.itemsize
         while pos < end:
             tag = mm[pos:pos + 1]
+            length = _U32.unpack_from(mm, pos + 1)[0]
+            start = pos + 5
             if tag == b"M":
-                count = _U32.unpack_from(mm, pos + 1)[0]
-                start = pos + 5
-                pos = start + count * itemsize
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: memory block overruns the footer")
-                if decode_mems:
-                    arr = np.frombuffer(mm, dtype=MEM_DTYPE, count=count,
-                                        offset=start)
-                    yield MemBlock(rank, table, array=arr)
+                pos = start + length * itemsize
             elif tag == b"C":
-                length = _U32.unpack_from(mm, pos + 1)[0]
-                start = pos + 5
                 pos = start + length
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: call record overruns the footer")
-                yield decode_event(rank,
-                                   mm[start:pos].decode("utf-8"))
             else:
                 raise TraceFormatError(
                     f"{self.path}: unknown frame tag {tag!r} at byte "
-                    f"{pos}")
+                    f"{start - 5}")
+            if pos > end:
+                kind = "memory block" if tag == b"M" else "call record"
+                raise TraceFormatError(f"{self.path}: {kind} at byte "
+                                       f"{start - 5} overruns the footer")
+            yield tag, start, length
+
+    def _stream_binary(self, decode_mems: bool = True) -> Iterator[StreamItem]:
+        mm, rank, table = self._mm, self.header.rank, self._table
+        for tag, start, length in self._data_frames():
+            if tag == b"C":
+                yield decode_event(rank,
+                                   self._frame_text(start, start + length))
+            elif decode_mems:
+                arr = np.frombuffer(mm, dtype=MEM_DTYPE, count=length,
+                                    offset=start)
+                yield MemBlock(rank, table, array=arr)
 
     def _mem_blocks_binary(self) -> Iterator[MemBlock]:
-        mm = self._mm
-        if mm is None:
-            raise TraceFormatError(f"{self.path}: reader is closed")
-        rank = self.header.rank
-        table = self._table
-        pos = self._data_pos
-        end = self._footer_off
-        itemsize = MEM_DTYPE.itemsize
+        mm, rank, table = self._mm, self.header.rank, self._table
         pending: List[np.ndarray] = []
         pending_rows = 0
 
@@ -850,29 +811,13 @@ class TraceReader:
             pending_rows = 0
             return MemBlock(rank, table, array=arr)
 
-        while pos < end:
-            tag = mm[pos:pos + 1]
-            length = _U32.unpack_from(mm, pos + 1)[0]
-            start = pos + 5
+        for tag, start, length in self._data_frames():
             if tag == b"M":
-                pos = start + length * itemsize
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: memory block overruns the footer")
                 pending.append(np.frombuffer(mm, dtype=MEM_DTYPE,
                                              count=length, offset=start))
                 pending_rows += length
                 if pending_rows >= _FLUSH_EVERY:
                     yield flush()
-            elif tag == b"C":
-                pos = start + length
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: call record overruns the footer")
-            else:
-                raise TraceFormatError(
-                    f"{self.path}: unknown frame tag {tag!r} at byte "
-                    f"{pos}")
         if pending:
             yield flush()
 
@@ -890,7 +835,11 @@ class TraceReader:
         raise TraceFormatError(f"memory record without a valid access "
                                f"kind: {line!r}")
 
-    def _stream_text(self) -> Iterator[StreamItem]:
+    def _stream_text(self, decode_calls: bool = True
+                     ) -> Iterator[StreamItem]:
+        """Text pass; with ``decode_calls`` false, call lines are skipped
+        after a prefix check instead of being decoded, and memory blocks
+        coalesce across them (the mem-only pass)."""
         fh = self._fh
         fh.seek(self._data_pos)
         rank = self.header.rank
@@ -924,7 +873,7 @@ class TraceReader:
                         f"unknown access kind {access!r}") from None
                 if len(seqs) >= _FLUSH_EVERY:
                     yield flush()
-            else:
+            elif decode_calls:
                 if seqs:
                     yield flush()
                 event = decode_event(rank, line)
@@ -933,52 +882,13 @@ class TraceReader:
                         f"{self.path}: unexpected {type(event).__name__} "
                         "record outside the M kind")
                 yield event
-        if seqs:
-            yield flush()
-
-    def _mem_blocks_text(self) -> Iterator[MemBlock]:
-        """Mem-only text pass: call lines are skipped after a prefix
-        check instead of being decoded, and blocks coalesce across
-        them."""
-        fh = self._fh
-        fh.seek(self._data_pos)
-        rank = self.header.rank
-        table = self._table
-        cols: Tuple[list, ...] = tuple([] for _ in range(6))
-        seqs, addrs, sizes, var_ids, loc_ids, accs = cols
-
-        def flush() -> MemBlock:
-            block = MemBlock(rank, table,
-                             cols=tuple(list(c) for c in cols))
-            for col in cols:
-                col.clear()
-            return block
-
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("M "):
-                rec = decode_record(line)
-                seqs.append(rec.get_int("seq"))
-                addrs.append(rec.get_int("addr"))
-                sizes.append(rec.get_int("size"))
-                var_ids.append(table.intern(rec.get_str("var")))
-                loc_ids.append(table.intern(rec.get_str("loc")))
-                access = rec.get_str("a")
-                try:
-                    accs.append(ACCESS_CODES[access])
-                except KeyError:
-                    raise TraceFormatError(
-                        f"unknown access kind {access!r}") from None
-                if len(seqs) >= _FLUSH_EVERY:
-                    yield flush()
             elif not line.startswith("C "):
                 raise TraceFormatError(
                     f"{self.path}: unknown record kind in data section: "
                     f"{line.split(' ', 1)[0]!r}")
         if seqs:
             yield flush()
+
 
 
 class TraceSet:

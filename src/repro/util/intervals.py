@@ -287,8 +287,7 @@ def _expand_ranges(starts: np.ndarray,
     """Enumerate ``(i, starts[i] + k)`` for ``k in range(counts[i])``."""
     total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return _empty_pairs()
     reps = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     ends = np.cumsum(counts)
     offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts,
@@ -296,18 +295,54 @@ def _expand_ranges(starts: np.ndarray,
     return reps, np.repeat(starts, counts) + offsets
 
 
+# Joins whose row-pair product ``len(a) * len(b)`` is at most this are
+# enumerated directly in Python: below it the sweep's fixed cost (two
+# argsorts, four searchsorteds, a lexsort) dominates the row work.
+SMALL_JOIN_PAIRS = 64
+
+
+def _empty_pairs() -> Tuple[np.ndarray, np.ndarray]:
+    empty = np.empty(0, dtype=np.int64)
+    return empty, empty.copy()
+
+
 def _unique_pairs(oa: np.ndarray,
                   ob: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    pairs = np.unique(np.stack([oa, ob], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    """Distinct ``(oa, ob)`` pairs, lexicographically sorted."""
+    if not len(oa):
+        return _empty_pairs()
+    order = np.lexsort((ob, oa))
+    oa, ob = oa[order], ob[order]
+    keep = np.empty(len(oa), dtype=bool)
+    keep[0] = True
+    np.not_equal(oa[1:], oa[:-1], out=keep[1:])
+    keep[1:] |= ob[1:] != ob[:-1]
+    return oa[keep], ob[keep]
+
+
+def _small_join(a: IntervalTable,
+                b: IntervalTable) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`overlap_join` by enumerating every row pair."""
+    b_rows = list(zip(b.lo.tolist(), b.hi.tolist(), b.owner.tolist()))
+    pairs = sorted({(oa, ob)
+                    for alo, ahi, oa in zip(a.lo.tolist(), a.hi.tolist(),
+                                            a.owner.tolist())
+                    for blo, bhi, ob in b_rows
+                    if alo < bhi and blo < ahi})
+    if not pairs:
+        return _empty_pairs()
+    return (np.array([p[0] for p in pairs], dtype=np.int64),
+            np.array([p[1] for p in pairs], dtype=np.int64))
 
 
 def overlap_join(a: IntervalTable,
                  b: IntervalTable) -> Tuple[np.ndarray, np.ndarray]:
     """All distinct owner pairs ``(a.owner, b.owner)`` with byte overlap.
 
-    The sweep: sort each side by ``lo`` once, then split every
-    overlapping row pair into two disjoint cases —
+    Small inputs (``len(a) * len(b) <= SMALL_JOIN_PAIRS``) test every
+    row pair directly.  Larger ones run the sweep: sort each side by
+    ``lo`` once, then split every overlapping row pair into two disjoint
+    cases —
 
     * ``b.lo`` starts inside ``a``  (``a.lo <= b.lo < a.hi``), a
       contiguous run of the ``b`` rows sorted by ``lo``;
@@ -316,13 +351,14 @@ def overlap_join(a: IntervalTable,
 
     — each enumerated with two ``searchsorted`` calls per row, so the
     cost is ``O((n + m) log(n + m) + output)`` and *only candidate pairs*
-    are ever materialized.  Returned pairs are deduplicated across
-    multi-segment owners and lexicographically sorted, which makes every
-    downstream consumer order-deterministic.
+    are ever materialized.  Either way the returned int64 pairs are
+    deduplicated across multi-segment owners and lexicographically
+    sorted, which makes every downstream consumer order-deterministic.
     """
     if len(a) == 0 or len(b) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
+        return _empty_pairs()
+    if len(a) * len(b) <= SMALL_JOIN_PAIRS:
+        return _small_join(a, b)
     a_order = np.argsort(a.lo, kind="stable")
     b_order = np.argsort(b.lo, kind="stable")
     a_lo_sorted = a.lo[a_order]
@@ -344,17 +380,3 @@ def overlap_join(a: IntervalTable,
 
     return _unique_pairs(np.concatenate([oa1, oa2]),
                          np.concatenate([ob1, ob2]))
-
-
-def naive_overlap_join(a: IntervalTable,
-                       b: IntervalTable) -> Tuple[np.ndarray, np.ndarray]:
-    """The O(n*m) reference join (differential tests, tiny inputs)."""
-    if len(a) == 0 or len(b) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    hit = (a.lo[:, None] < b.hi[None, :]) & (b.lo[None, :] < a.hi[:, None])
-    ai, bi = np.nonzero(hit)
-    if not len(ai):
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    return _unique_pairs(a.owner[ai], b.owner[bi])

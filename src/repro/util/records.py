@@ -86,12 +86,11 @@ def encode_value(value: Value) -> str:
 def decode_value(text: str) -> Value:
     if text.startswith("$"):
         return unescape(text[1:])
-    if text.startswith("@"):
-        body = text[1:]
-        if not body:
-            return ()
-        return tuple(int(part) for part in body.split(","))
     try:
+        if text.startswith("@"):
+            body = text[1:]
+            return tuple(int(part) for part in body.split(",")) if body \
+                else ()
         return int(text)
     except ValueError as exc:
         raise TraceFormatError(f"unparseable value {text!r}") from exc

@@ -1,10 +1,14 @@
 """Unit + property tests for the byte-interval algebra."""
 
-import pytest
-from hypothesis import given, strategies as st
+import math
 
-from repro.util.intervals import (Interval, IntervalSet, IntervalTable,
-                                  datamap_intervals, naive_overlap_join,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import numpy as np
+
+from repro.util.intervals import (SMALL_JOIN_PAIRS, Interval, IntervalSet,
+                                  IntervalTable, datamap_intervals,
                                   overlap_join)
 
 
@@ -273,27 +277,61 @@ class TestIntervalTable:
         assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+# owners span negatives and values >= 2**40 so no dedupe can rely on
+# packing two owners into one key; up to 24 rows a side puts
+# len(a) * len(b) on both sides of SMALL_JOIN_PAIRS
+owner_strategy = st.one_of(st.integers(0, 6), st.integers(-6, -1),
+                           st.integers(2**40, 2**40 + 6),
+                           st.sampled_from([-2**63, 2**63 - 1]))
+
 table_strategy = st.lists(
-    st.tuples(st.integers(0, 300), st.integers(0, 40),
-              st.integers(0, 6)),
-    max_size=16).map(
+    st.tuples(st.integers(0, 300), st.integers(0, 40), owner_strategy),
+    max_size=24).map(
         lambda rows: IntervalTable([r[0] for r in rows],
                                    [r[0] + r[1] for r in rows],
                                    owner=[r[2] for r in rows]))
 
 
-def _pair_set(ai, bi):
-    return set(zip(ai.tolist(), bi.tolist()))
+def naive_join(a, b):
+    """The join's contract from first principles: every row pair is
+    tested, and the distinct owner pairs come back sorted."""
+    pairs = sorted({(oa, ob)
+                    for alo, ahi, oa in zip(a.lo.tolist(), a.hi.tolist(),
+                                            a.owner.tolist())
+                    for blo, bhi, ob in zip(b.lo.tolist(), b.hi.tolist(),
+                                            b.owner.tolist())
+                    if max(alo, blo) < min(ahi, bhi)})
+    return (np.array([p[0] for p in pairs], dtype=np.int64),
+            np.array([p[1] for p in pairs], dtype=np.int64))
 
 
+def assert_same_pairs(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=300)
 @given(table_strategy, table_strategy)
 def test_prop_overlap_join_matches_naive(a, b):
-    assert _pair_set(*overlap_join(a, b)) == \
-        _pair_set(*naive_overlap_join(a, b))
+    assert_same_pairs(overlap_join(a, b), naive_join(a, b))
 
 
 @given(table_strategy, table_strategy)
 def test_prop_overlap_join_symmetric(a, b):
-    ab = _pair_set(*overlap_join(a, b))
-    ba = _pair_set(*overlap_join(b, a))
-    assert ab == {(x, y) for (y, x) in ba}
+    ab_a, ab_b = overlap_join(a, b)
+    ba_b, ba_a = overlap_join(b, a)
+    order = np.lexsort((ba_b, ba_a))
+    assert_same_pairs((ab_a, ab_b), (ba_a[order], ba_b[order]))
+
+
+_EDGE = math.isqrt(SMALL_JOIN_PAIRS)
+
+
+@pytest.mark.parametrize("rows", [1, _EDGE, _EDGE + 1, 40])
+def test_join_paths_agree_around_cutoff(rows):
+    # square joins on both sides of the small-input cutoff
+    lo = np.arange(rows, dtype=np.int64) * 3
+    a = IntervalTable(lo, lo + 5, owner=lo % 7 - 3)
+    b = IntervalTable(lo + 1, lo + 4, owner=(lo % 5) * 2**40)
+    assert_same_pairs(overlap_join(a, b), naive_join(a, b))
